@@ -96,21 +96,20 @@ let zipf prng n =
 
 type engine = {
   e_mgr : Txn.mgr;
-  e_disk : Disk_store.t;
   e_store : Store.t;
   e_capacity : bool;  (* checkpoints armed (vs full-WAL-replay baseline) *)
 }
 
 let make_engine ~scale ~capacity ~name =
   let mgr = Txn.create_mgr () in
-  let disk =
+  let store =
     if capacity then
       Disk_store.create ~pool_capacity:scale.pool_capacity
         ~wal_segment_bytes:scale.segment_bytes ~ckpt_full_every:scale.ckpt_full_every
         ~auto_ckpt_bytes:scale.auto_ckpt_bytes ~mgr ~name ()
     else Disk_store.create ~pool_capacity:scale.pool_capacity ~mgr ~name ()
   in
-  { e_mgr = mgr; e_disk = disk; e_store = Disk_store.ops disk; e_capacity = capacity }
+  { e_mgr = mgr; e_store = Disk_store.ops store; e_capacity = capacity }
 
 let payload prng =
   let b = Bytes.create payload_len in
@@ -239,7 +238,7 @@ let run_capacity_phases ~scale ~seed =
       ("pool_evictions", c "pool_evictions");
     ]
   in
-  Disk_store.crash e.e_disk;
+  e.e_store.Store.crash ();
   let final_wal = Wal.durable_bytes e.e_store.Store.wal in
   let incr_recoveries =
     List.rev_map
@@ -263,7 +262,7 @@ let run_baseline ~scale ~seed =
   let footprints = ref [] in
   steady_engine e ~scale ~seed:(Int64.add seed 1L) ~rids ~footprints;
   let wal_total = Wal.durable_size e.e_store.Store.wal in
-  Disk_store.crash e.e_disk;
+  e.e_store.Store.crash ();
   let wal_bytes = Wal.durable_bytes e.e_store.Store.wal in
   let ns = time_recovery ~scale ~wal_bytes in
   (wal_total, Bytes.length wal_bytes, ns)

@@ -34,10 +34,6 @@ let fail fmt = Format.kasprintf (fun msg -> raise (Ode_error msg)) fmt
 
 type store_kind = [ `Disk | `Mem ]
 
-type backend =
-  | Disk_backend of Disk_store.t * Disk_store.t
-  | Mem_backend of Mem_store.t * Mem_store.t
-
 type monitor = {
   m_fsm : Ode_event.Fsm.t;
   m_masks : (int * (vobj -> bool)) list;
@@ -57,7 +53,6 @@ type obj_handle = Persistent of Oid.t | Volatile of vobj
 
 type t = {
   kind : store_kind;
-  backend : backend;
   faults : Faults.t;
   mgr : Txn.mgr;
   obj_store : Store.t;
@@ -135,11 +130,10 @@ let intern t = t.intern
 (* ------------------------------------------------------------------ *)
 (* Construction. *)
 
-let assemble ?engine ?intern ~kind ~backend ~faults ~mgr ~obj_store ~trig_store ~db () =
+let assemble ?engine ?intern ~kind ~faults ~mgr ~obj_store ~trig_store ~db () =
   let intern = match intern with Some i -> i | None -> Intern.create () in
   {
     kind;
-    backend;
     faults;
     mgr;
     obj_store;
@@ -172,34 +166,23 @@ let create ?(store = `Mem) ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush
      I/O-point number, so a fault plan addresses any of them. *)
   let faults = match faults with Some f -> f | None -> Faults.create () in
   let rid_base, rid_stride = shard_params shard in
-  let backend, obj_store, trig_store =
+  let open_store ?rid_base ?rid_stride name =
     match store with
     | `Disk ->
-        let objects =
-          Disk_store.create ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep
-            ?durability ~faults ?rid_base ?rid_stride ?wal_segment_bytes ?ckpt_full_every
-            ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name:"objects" ()
-        in
-        let triggers =
-          Disk_store.create ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep
-            ?durability ~faults ?wal_segment_bytes ?ckpt_full_every
-            ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name:"triggers" ()
-        in
-        (Disk_backend (objects, triggers), Disk_store.ops objects, Disk_store.ops triggers)
+        Disk_store.ops
+          (Disk_store.create ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep
+             ?durability ~faults ?rid_base ?rid_stride ?wal_segment_bytes ?ckpt_full_every
+             ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name ())
     | `Mem ->
-        let objects =
-          Mem_store.create ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride
-            ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr
-            ~name:"objects" ()
-        in
-        let triggers =
-          Mem_store.create ?flush_spin ?flush_sleep ?durability ?wal_segment_bytes
-            ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name:"triggers" ()
-        in
-        (Mem_backend (objects, triggers), Mem_store.ops objects, Mem_store.ops triggers)
+        Mem_store.ops
+          (Mem_store.create ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride
+             ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr
+             ~name ())
   in
+  let obj_store = open_store ?rid_base ?rid_stride "objects" in
+  let trig_store = open_store "triggers" in
   let db = Database.create ~mgr ~store:obj_store ~name:"main" in
-  assemble ?engine ?intern ~kind:store ~backend ~faults ~mgr ~obj_store ~trig_store ~db ()
+  assemble ?engine ?intern ~kind:store ~faults ~mgr ~obj_store ~trig_store ~db ()
 
 let durability t = Commit_pipeline.mode t.obj_store.Store.pipeline
 
@@ -1169,13 +1152,8 @@ let checkpoint_pending t = t.ckpt_pending
 let crash t =
   let ci_obj_wal = Wal.durable_bytes t.obj_store.Store.wal in
   let ci_trig_wal = Wal.durable_bytes t.trig_store.Store.wal in
-  (match t.backend with
-  | Disk_backend (objects, triggers) ->
-      Disk_store.crash objects;
-      Disk_store.crash triggers
-  | Mem_backend (objects, triggers) ->
-      Mem_store.crash objects;
-      Mem_store.crash triggers);
+  t.obj_store.Store.crash ();
+  t.trig_store.Store.crash ();
   { ci_kind = t.kind; ci_obj_wal; ci_trig_wal }
 
 type recovery_report = { rr_obj_tail : int; rr_trig_tail : int }
@@ -1189,37 +1167,24 @@ let recover ?flush_spin ?flush_sleep ?durability ?faults ?shard ?intern ?engine
   let mgr = Txn.create_mgr () in
   let faults = match faults with Some f -> f | None -> Faults.create () in
   let rid_base, rid_stride = shard_params shard in
-  let backend, obj_store, trig_store =
+  let recover_store ?rid_base ?rid_stride name wal_bytes =
     match image.ci_kind with
     | `Disk ->
-        let objects =
-          Recovery.recover_disk ?flush_spin ?flush_sleep ?durability ~faults ?rid_base
-            ?rid_stride ?wal_segment_bytes ?ckpt_full_every
-            ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name:"objects"
-            ~wal_bytes:image.ci_obj_wal ()
-        in
-        let triggers =
-          Recovery.recover_disk ?flush_spin ?flush_sleep ?durability ~faults
-            ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr
-            ~name:"triggers" ~wal_bytes:image.ci_trig_wal ()
-        in
-        (Disk_backend (objects, triggers), Disk_store.ops objects, Disk_store.ops triggers)
+        Disk_store.ops
+          (Recovery.recover_disk ?flush_spin ?flush_sleep ?durability ~faults ?rid_base
+             ?rid_stride ?wal_segment_bytes ?ckpt_full_every
+             ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name ~wal_bytes ())
     | `Mem ->
-        let objects =
-          Recovery.recover_mem ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride
-            ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr
-            ~name:"objects" ~wal_bytes:image.ci_obj_wal ()
-        in
-        let triggers =
-          Recovery.recover_mem ?flush_spin ?flush_sleep ?durability ?wal_segment_bytes
-            ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr ~name:"triggers"
-            ~wal_bytes:image.ci_trig_wal ()
-        in
-        (Mem_backend (objects, triggers), Mem_store.ops objects, Mem_store.ops triggers)
+        Mem_store.ops
+          (Recovery.recover_mem ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride
+             ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes:auto_checkpoint_bytes ~mgr
+             ~name ~wal_bytes ())
   in
+  let obj_store = recover_store ?rid_base ?rid_stride "objects" image.ci_obj_wal in
+  let trig_store = recover_store "triggers" image.ci_trig_wal in
   let db = Database.open_existing ~mgr ~store:obj_store ~name:"main" in
   let t =
-    assemble ?engine ?intern ~kind:image.ci_kind ~backend ~faults ~mgr ~obj_store ~trig_store
+    assemble ?engine ?intern ~kind:image.ci_kind ~faults ~mgr ~obj_store ~trig_store
       ~db ()
   in
   let txn = Txn.begin_txn ~system:true mgr in

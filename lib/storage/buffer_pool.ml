@@ -113,9 +113,3 @@ let drop_all t =
   t.tail <- None
 
 let stats t = t.stats
-
-let reset_stats t =
-  t.stats.hits <- 0;
-  t.stats.misses <- 0;
-  t.stats.evictions <- 0;
-  t.stats.writebacks <- 0

@@ -31,4 +31,3 @@ val drop_all : t -> unit
 (** Discard every frame without writeback — the crash primitive. *)
 
 val stats : t -> stats
-val reset_stats : t -> unit

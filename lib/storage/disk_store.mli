@@ -1,5 +1,7 @@
-(** EOS-like disk-based record store: slotted pages behind an LRU buffer
-    pool, logical WAL, per-transaction undo, strict 2PL record locking.
+(** EOS-like disk-based record store: {!Record_core.Make} over slotted
+    pages behind an LRU buffer pool, with a bloom filter in front of the
+    rid directory. The core supplies the logical WAL, per-transaction
+    undo and strict 2PL record locking.
 
     A record is addressed by a logical {!Rid.t}; the store keeps a directory
     from rid to (page, slot) so an update that no longer fits in place can
@@ -33,52 +35,16 @@ val create :
 (** Creates an empty store and registers it as a commit/abort participant
     with [mgr]. [page_size] defaults to 4096, [pool_capacity] (frames) to
     64; [io_spin] simulates per-page-I/O device latency (see
-    {!Pager.create}), [flush_spin] per-log-force latency and
-    [flush_sleep] its blocking variant (see {!Wal.create}).
-    [durability] selects the commit pipeline's mode
-    ({!Commit_pipeline.mode}, default [Immediate] — flush per commit).
-    [faults] is the fault-injection plane shared by the
+    {!Pager.create}). [faults] is the fault-injection plane shared by the
     store's pager, buffer pool, WAL and lock points; pass the same plane
     to several stores to give them one global I/O-point numbering.
-    [rid_base]/[rid_stride] (defaults 0/1) restrict fresh rids to the
-    residue class [rid_base (mod rid_stride)] — the {!Ode_parallel} shard
-    partitioning rule; raises [Store_error] unless
-    [0 <= rid_base < rid_stride].
-
-    Capacity knobs: [wal_segment_bytes] (default 0 = never) seals WAL
-    segments at that size so full checkpoints can retire them
-    ({!Wal.retire_below}); [ckpt_full_every] (default 1 = always full)
-    makes every Nth checkpoint a full anchor with incremental
-    [Ckpt_delta] manifests between; [auto_ckpt_bytes] (default 0 = off)
-    arms {!Commit_pipeline.auto_checkpoint_due} at that much WAL growth;
     [bloom_seed]/[bloom_fp_rate] (defaults [0x0DE5EED]/0.01) configure
     the rid membership filter consulted before directory and buffer-pool
-    lookups. *)
+    lookups. The other knobs are {!Record_core.Make.create}'s. *)
 
 val ops : t -> Store.t
 (** The uniform interface used by everything above the storage layer. *)
 
-val load_bulk : t -> (Rid.t * bytes) list -> unit
-(** Physically install records, bypassing transactions, locking and
-    logging. Recovery-only; raises [Store_error] if the store is not
-    empty. *)
-
-val anchor_from : t -> (Rid.t * bytes) list -> unit
-(** Write a full anchor checkpoint whose payload is [entries] verbatim
-    (sorted by rid), with the usual anchor bookkeeping: WAL retirement
-    below the record and a bloom rebuild. Recovery pairs this with
-    {!load_bulk} — the entries are the state just loaded, so logging them
-    directly skips the per-record page re-read a regular full checkpoint
-    performs. *)
-
-val flush_pages : t -> unit
-(** Write back all dirty frames (clean shutdown). *)
-
-val crash : t -> unit
-(** Simulate a crash: drop all buffered frames and refuse further use. The
-    WAL's durable prefix survives; retrieve it with [(ops t).wal]. *)
-
-val page_count : t -> int
-val pager_stats : t -> Pager.stats
-val pool_stats : t -> Buffer_pool.stats
-val faults : t -> Faults.t
+val restore : t -> (Rid.t * bytes) list -> unit
+(** Recovery-only; see {!Record_core.Make.restore}. The bloom filter is
+    sized for the restored records up front, so no rebuild pass follows. *)

@@ -20,8 +20,6 @@ let create ?(io_spin = 0) ?faults ~page_size () =
     stats = { reads = 0; writes = 0; allocs = 0 };
   }
 
-let faults t = t.faults
-
 (* Simulated device latency. *)
 let spin t =
   let acc = ref 0 in

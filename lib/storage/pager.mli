@@ -18,8 +18,6 @@ val create : ?io_spin:int -> ?faults:Faults.t -> page_size:int -> unit -> t
     fault-injection plane consulted before every physical read, write and
     allocation (default: a fresh inert plane). *)
 
-val faults : t -> Faults.t
-
 val page_size : t -> int
 
 val alloc : t -> int

@@ -73,23 +73,19 @@ let committed_state records =
 let recover_disk ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep ?durability
     ?faults ?rid_base ?rid_stride ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes ?bloom_seed
     ?bloom_fp_rate ~mgr ~name ~wal_bytes () =
-  let state = committed_state (Wal.decode_records wal_bytes) in
   let store =
     Disk_store.create ?page_size ?pool_capacity ?io_spin ?flush_spin ?flush_sleep ?durability
       ?faults ?rid_base ?rid_stride ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes
       ?bloom_seed ?bloom_fp_rate ~mgr ~name ()
   in
-  Disk_store.load_bulk store state;
-  Disk_store.anchor_from store state;
+  Disk_store.restore store (committed_state (Wal.decode_records wal_bytes));
   store
 
 let recover_mem ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride ?wal_segment_bytes
     ?ckpt_full_every ?auto_ckpt_bytes ~mgr ~name ~wal_bytes () =
-  let state = committed_state (Wal.decode_records wal_bytes) in
   let store =
     Mem_store.create ?flush_spin ?flush_sleep ?durability ?rid_base ?rid_stride
       ?wal_segment_bytes ?ckpt_full_every ?auto_ckpt_bytes ~mgr ~name ()
   in
-  Mem_store.load_bulk store state;
-  Mem_store.anchor_from store state;
+  Mem_store.restore store (committed_state (Wal.decode_records wal_bytes));
   store

@@ -3,7 +3,9 @@
     Disk-based Ode (on EOS) and MM-Ode (on Dali) share one object manager;
     we mirror that by giving both store implementations this single
     record-of-functions interface, so the object store, trigger runtime and
-    benchmarks are written once and run against either backend.
+    benchmarks are written once and run against either backend. Both
+    backends are built by {!Record_core.Make}, which writes the
+    transactional layer once over each physical layout.
 
     Operations run under a transaction. A {e regular} transaction follows
     strict 2PL: [read] takes a shared lock on the record, [insert]/
@@ -71,11 +73,15 @@ type t = {
           incremental [Ckpt_delta] manifest per the store's
           [ckpt_full_every] chain — and prune version chains to the GC
           watermark. A full anchor also retires WAL segments below it
-          and rebuilds the bloom filter. Only call at transaction
-          quiescence (raises [Store_error] otherwise). *)
+          and lets the layout refresh its lookup structures (the disk
+          store patches or rebuilds its bloom filter). Only call at
+          transaction quiescence (raises [Store_error] otherwise). *)
   counters : unit -> (string * int) list;
       (** Backend-specific counters (page I/O, pool hits, WAL flushes,
           [mvcc.*], ...) for the benchmark harness. *)
+  crash : unit -> unit;
+      (** Simulate a crash: volatile state is lost and the store refuses
+          further use; only the WAL's durable prefix survives. *)
   wal : Wal.t;
   pipeline : Commit_pipeline.t;
       (** The store's group-commit durability pipeline; commit-time log

@@ -303,7 +303,6 @@ let flush_count t = t.flushes
 let segments_sealed t = t.segments_sealed
 let segments_retired t = t.segments_retired
 let retired_bytes t = t.retired_bytes
-let segment_count t = List.length t.sealed + 1
 
 let pp_record fmt = function
   | Begin txn -> Format.fprintf fmt "BEGIN t%d" txn

@@ -131,9 +131,6 @@ val segments_sealed : t -> int
 val segments_retired : t -> int
 val retired_bytes : t -> int
 
-val segment_count : t -> int
-(** Retained segments, counting the active one. *)
-
 val encode_record : Ode_util.Binc.writer -> record -> unit
 val decode_records : bytes -> record list
 (** Decodes as many complete records as the byte prefix contains; a

@@ -435,6 +435,31 @@ let bloom_incremental_refresh () =
     true
     (absent * 10 >= List.length !deleted * 9)
 
+(* Relocation and undo move records between pages without changing
+   which rids are live, so neither may touch the bloom accounting: no
+   stale keys, and exactly one hashed key per live record. *)
+let bloom_accounting_survives_moves () =
+  let counter (store : Store.t) name = List.assoc name (store.Store.counters ()) in
+  let mgr = Txn.create_mgr () in
+  let store =
+    Disk_store.ops (Disk_store.create ~mgr ~name:"moves" ~page_size:512 ~pool_capacity:8 ())
+  in
+  let rids = Array.init 50 (fun i -> commit_insert mgr store (Printf.sprintf "r%d" i)) in
+  (* grow every record past its slot so updates relocate *)
+  for round = 1 to 3 do
+    let txn = Txn.begin_txn mgr in
+    Array.iter (fun rid -> store.Store.update txn rid (Bytes.make (round * 40) 'x')) rids;
+    Txn.commit txn
+  done;
+  Alcotest.(check bool) "updates relocated records" true (counter store "relocations" > 0);
+  let txn = Txn.begin_txn mgr in
+  Array.iter (store.Store.delete txn) rids;
+  Txn.abort txn;
+  Alcotest.(check int) "aborted deletes restored every record" 50 (store.Store.record_count ());
+  Alcotest.(check int) "no stale keys" 0 (counter store "bloom_stale_keys");
+  Alcotest.(check int) "one hashed key per live record" (store.Store.record_count ())
+    (counter store "bloom_keys")
+
 let post_event_fast_drops_absent () =
   let env = Session.create ~store:`Disk ~ckpt_full_every:1 () in
   let fired = ref 0 in
@@ -478,6 +503,8 @@ let suite =
   [
     Alcotest.test_case "bloom: fp rate within 2x of target, no false negatives" `Quick
       bloom_fp_within_bound;
+    Alcotest.test_case "bloom: relocations and aborted deletes keep the accounting" `Quick
+      bloom_accounting_survives_moves;
     Alcotest.test_case "segments rotate, retire, and stay recoverable" `Quick
       segments_rotate_and_retire;
     Alcotest.test_case "recovery re-anchors to a single full checkpoint" `Quick
