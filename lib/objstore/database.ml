@@ -21,13 +21,23 @@ type change =
   | Ix_added of index * Value.t * Oid.t
   | Ix_removed of index * Value.t * Oid.t
 
+(* What one active, non-snapshot transaction has done to the database:
+   its cluster and index changes (reversed on abort), and the decoded
+   records it has read or written. A record is only remembered while the
+   transaction holds its lock, so under 2PL nobody else can change its
+   bytes until the slot is dropped at commit or abort. *)
+type slot = {
+  mutable changes : change list;  (* newest first *)
+  records : Objrec.t Oid.Tbl.t;
+}
+
 type t = {
   name : string;
   store : Store.t;
   mgr : Txn.mgr;
   clusters : (string, Oid.Set.t ref) Hashtbl.t;
   indexes : (string, index) Hashtbl.t;
-  pending : (int, change list) Hashtbl.t;  (* txn -> changes, newest first *)
+  slots : (int, slot) Hashtbl.t;  (* txn id -> slot *)
 }
 
 exception No_such_object of Oid.t
@@ -73,19 +83,42 @@ let reverse_change = function
   | Ix_added (ix, key, oid) -> Ix_removed (ix, key, oid)
   | Ix_removed (ix, key, oid) -> Ix_added (ix, key, oid)
 
-let note_change t (txn : Txn.t) change =
-  apply_change t change;
-  let existing = Option.value (Hashtbl.find_opt t.pending txn.Txn.id) ~default:[] in
-  Hashtbl.replace t.pending txn.Txn.id (change :: existing)
+let slot t (txn : Txn.t) =
+  match Hashtbl.find_opt t.slots txn.Txn.id with
+  | Some s -> s
+  | None ->
+      let s = { changes = []; records = Oid.Tbl.create 8 } in
+      Hashtbl.replace t.slots txn.Txn.id s;
+      s
 
-let on_commit t (txn : Txn.t) = Hashtbl.remove t.pending txn.Txn.id
+let cached t (txn : Txn.t) oid =
+  match Hashtbl.find_opt t.slots txn.Txn.id with
+  | None -> None
+  | Some s -> Oid.Tbl.find_opt s.records oid
+
+(* Only under the record's lock; snapshot readers hold none and keep no
+   slot. *)
+let remember t txn oid record =
+  if not (Txn.is_snapshot txn) then Oid.Tbl.replace (slot t txn).records oid record
+
+let forget t (txn : Txn.t) oid =
+  match Hashtbl.find_opt t.slots txn.Txn.id with
+  | None -> ()
+  | Some s -> Oid.Tbl.remove s.records oid
+
+let note_change t txn change =
+  apply_change t change;
+  let s = slot t txn in
+  s.changes <- change :: s.changes
+
+let on_commit t (txn : Txn.t) = Hashtbl.remove t.slots txn.Txn.id
 
 let on_abort t (txn : Txn.t) =
-  match Hashtbl.find_opt t.pending txn.Txn.id with
+  match Hashtbl.find_opt t.slots txn.Txn.id with
   | None -> ()
-  | Some changes ->
-      List.iter (fun change -> apply_change t (reverse_change change)) changes;
-      Hashtbl.remove t.pending txn.Txn.id
+  | Some s ->
+      List.iter (fun change -> apply_change t (reverse_change change)) s.changes;
+      Hashtbl.remove t.slots txn.Txn.id
 
 let create ~mgr ~store ~name =
   let t =
@@ -95,7 +128,7 @@ let create ~mgr ~store ~name =
       mgr;
       clusters = Hashtbl.create 16;
       indexes = Hashtbl.create 8;
-      pending = Hashtbl.create 8;
+      slots = Hashtbl.create 8;
     }
   in
   Txn.register_participant mgr
@@ -123,27 +156,42 @@ let indexes_for t cls =
 let pnew t txn record =
   let rid = t.store.Store.insert txn (Objrec.encode record) in
   let oid = Oid.of_rid rid in
+  remember t txn oid record;
   note_change t txn (Added (record.Objrec.cls, oid));
   List.iter
     (fun ix -> note_change t txn (Ix_added (ix, Objrec.get record ix.ix_field, oid)))
     (indexes_for t record.Objrec.cls);
   oid
 
+(* A miss reads under the store's S lock, so the decoded record may be
+   remembered; an absent record is not (it may have been answered
+   without a lock). *)
 let get_opt t txn oid =
-  match t.store.Store.read txn (Oid.to_rid oid) with
-  | None -> None
-  | Some payload -> Some (Objrec.decode payload)
+  match cached t txn oid with
+  | Some _ as hit -> hit
+  | None -> (
+      match t.store.Store.read txn (Oid.to_rid oid) with
+      | None -> None
+      | Some payload ->
+          let record = Objrec.decode payload in
+          remember t txn oid record;
+          Some record)
 
 let get t txn oid =
   match get_opt t txn oid with Some record -> record | None -> raise (No_such_object oid)
 
 (* Lock-free read-committed dereference (certified snapshot-safe trigger
    cascades): newest committed version, or the in-place state when [txn]
-   already holds the record's lock. No S lock is taken. *)
+   already holds the record's lock. No S lock is taken. A remembered
+   record is held under such a lock, so it is exactly that in-place
+   state; a miss is not remembered. *)
 let get_committed_opt t txn oid =
-  match snd (t.store.Store.read_committed txn (Oid.to_rid oid)) with
-  | None -> None
-  | Some payload -> Some (Objrec.decode payload)
+  match cached t txn oid with
+  | Some _ as hit -> hit
+  | None -> (
+      match snd (t.store.Store.read_committed txn (Oid.to_rid oid)) with
+      | None -> None
+      | Some payload -> Some (Objrec.decode payload))
 
 let get_committed t txn oid =
   match get_committed_opt t txn oid with
@@ -152,19 +200,19 @@ let get_committed t txn oid =
 
 let pdelete t txn oid =
   let record = get t txn oid in
+  forget t txn oid;
   t.store.Store.delete txn (Oid.to_rid oid);
   note_change t txn (Removed (record.Objrec.cls, oid));
   List.iter
     (fun ix -> note_change t txn (Ix_removed (ix, Objrec.get record ix.ix_field, oid)))
     (indexes_for t record.Objrec.cls)
 
-let put t txn oid record =
-  let current = get t txn oid in
-  if not (String.equal current.Objrec.cls record.Objrec.cls) then
-    invalid_arg
-      (Printf.sprintf "Database.put: class change %s -> %s for %s" current.Objrec.cls
-         record.Objrec.cls (Oid.to_string oid));
+(* The slot entry goes before the store write and comes back after it,
+   so a write that raises part-way leaves the next read to the store. *)
+let write t txn oid ~current record =
+  forget t txn oid;
   t.store.Store.update txn (Oid.to_rid oid) (Objrec.encode record);
+  remember t txn oid record;
   List.iter
     (fun ix ->
       let old_key = Objrec.get current ix.ix_field in
@@ -175,11 +223,19 @@ let put t txn oid record =
       end)
     (indexes_for t record.Objrec.cls)
 
+let put t txn oid record =
+  let current = get t txn oid in
+  if not (String.equal current.Objrec.cls record.Objrec.cls) then
+    invalid_arg
+      (Printf.sprintf "Database.put: class change %s -> %s for %s" current.Objrec.cls
+         record.Objrec.cls (Oid.to_string oid));
+  write t txn oid ~current record
+
 let get_field t txn oid field = Objrec.get (get t txn oid) field
 
 let set_field t txn oid field v =
-  let record = get t txn oid in
-  put t txn oid (Objrec.set record field v)
+  let current = get t txn oid in
+  write t txn oid ~current (Objrec.set current field v)
 
 let class_of t txn oid = (get t txn oid).Objrec.cls
 

@@ -6,7 +6,14 @@
     membership is cached in memory and kept transactionally consistent: a
     database registers as a transaction participant and undoes membership
     changes of aborted transactions; [open_existing] rebuilds the cache by
-    scanning the store. *)
+    scanning the store.
+
+    A regular transaction reads and decodes each object at most once: the
+    records it has read under a lock, created or written stay decoded
+    until it commits or aborts, and later reads in the same transaction
+    are served from them. Writes still encode and reach the store (and
+    its log) one by one. Snapshot transactions hold no locks and always
+    read their pinned version from the store. *)
 
 type t
 

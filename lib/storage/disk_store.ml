@@ -30,7 +30,7 @@ module Phys = struct
     mutable relocations : int;
     mutable bloom_negatives : int;  (* lookups answered "absent" without lock or page *)
     mutable bloom_fp : int;  (* bloom said maybe, directory said no *)
-    mutable bloom_stale : int;  (* deleted rids still hashed into the filter *)
+    deleted : unit Rid.Tbl.t;  (* rids deleted since the last full walk, still hashed in *)
     mutable bloom_incr_rebuilds : int;  (* full anchors served by an O(dirty) patch *)
   }
 
@@ -82,34 +82,36 @@ module Phys = struct
     Buffer_pool.with_page t.pool loc.page ~dirty:true (fun page -> Page.delete page loc.slot);
     Hashtbl.replace t.roomy_pages loc.page ()
 
-  (* Resize-and-rekey from the live directory. Runs at full anchors that
-     cannot be patched (flushing deleted rids out of the filter) and
-     whenever inserts overrun the sized capacity by 2x (keeping the
-     false-positive rate near its target as the store grows). Same seed —
-     rebuilds are deterministic. *)
+  (* Resize-and-rekey from the live directory and the rids deleted since
+     the last full walk. Runs whenever inserts overrun the sized capacity
+     by 2x (keeping the false-positive rate near its target as the store
+     grows), and at full anchors that cannot be patched. Only an anchor,
+     which runs at quiescence, may drop the deleted rids: before that one
+     of them may belong to an in-flight delete, and a reader that the
+     filter told "absent" would not wait for the deleter's X lock. Same
+     seed — rebuilds are deterministic. *)
   let rebuild_bloom ?(expected = 0) t =
-    let expected = max expected (max 1024 (2 * Rid.Tbl.length t.dir)) in
+    let keys = Rid.Tbl.length t.dir + Rid.Tbl.length t.deleted in
+    let expected = max expected (max 1024 (2 * keys)) in
     let bloom =
       Bloom.create ~seed:(Bloom.seed t.bloom) ~expected ~fp_rate:(Bloom.fp_rate t.bloom)
     in
-    Rid.Tbl.iter (fun rid _ -> Bloom.add bloom (Rid.to_int rid)) t.dir;
-    t.bloom <- bloom;
-    t.bloom_stale <- 0
+    let add rid _ = Bloom.add bloom (Rid.to_int rid) in
+    Rid.Tbl.iter add t.dir;
+    Rid.Tbl.iter add t.deleted;
+    t.bloom <- bloom
 
   (* A fresh rid is hashed in. A rolled-back delete re-places a rid that
-     is still hashed (its delete left the key behind as stale), unless a
-     saturation rebuild since then walked the directory without it. *)
+     is still hashed: its key is live again, not stale. *)
   let insert t ~undo rid payload =
     let data = encode_record rid payload in
     check_fits t rid data;
     place t rid data;
-    let key = Rid.to_int rid in
-    if not undo then begin
-      Bloom.add t.bloom key;
+    if undo then Rid.Tbl.remove t.deleted rid
+    else begin
+      Bloom.add t.bloom (Rid.to_int rid);
       if Bloom.count t.bloom > 2 * Bloom.expected t.bloom then rebuild_bloom t
     end
-    else if Bloom.maybe_mem t.bloom key then t.bloom_stale <- max 0 (t.bloom_stale - 1)
-    else Bloom.add t.bloom key
 
   let read t rid =
     match Rid.Tbl.find_opt t.dir rid with
@@ -148,7 +150,7 @@ module Phys = struct
     | Some loc ->
         unplace t loc;
         Rid.Tbl.remove t.dir rid;
-        t.bloom_stale <- t.bloom_stale + 1
+        Rid.Tbl.replace t.deleted rid ()
 
   let iter t f = Rid.Tbl.iter (fun rid _ -> f rid) t.dir
   let count t = Rid.Tbl.length t.dir
@@ -175,14 +177,14 @@ module Phys = struct
      capacity nor carrying many dead keys, patch the existing filter from
      the dirty rids instead of re-hashing the whole directory — O(dirty),
      not O(live). Deleted rids stay hashed in (false positives only,
-     counted in [bloom_stale]), so the patch path keeps its own budget:
+     counted in [deleted]), so the patch path keeps its own budget:
      once stale keys or insert overrun would erode the false-positive
      target, the next anchor falls back to the full walk and flushes
      them out. *)
   let on_anchor t ~dirty =
     let live = Rid.Tbl.length t.dir in
     let saturated = Bloom.count t.bloom > 2 * Bloom.expected t.bloom in
-    let too_stale = t.bloom_stale * 8 > max 1024 live in
+    let too_stale = Rid.Tbl.length t.deleted * 8 > max 1024 live in
     let small = List.length dirty * 8 <= live in
     if small && (not saturated) && not too_stale then begin
       List.iter
@@ -193,7 +195,10 @@ module Phys = struct
         dirty;
       t.bloom_incr_rebuilds <- t.bloom_incr_rebuilds + 1
     end
-    else rebuild_bloom t
+    else begin
+      Rid.Tbl.reset t.deleted;
+      rebuild_bloom t
+    end
 
   let crash t = Buffer_pool.drop_all t.pool
 
@@ -213,7 +218,7 @@ module Phys = struct
       ("bloom_fp", t.bloom_fp);
       ("bloom_bits", Bloom.bit_count t.bloom);
       ("bloom_keys", Bloom.count t.bloom);
-      ("bloom_stale_keys", t.bloom_stale);
+      ("bloom_stale_keys", Rid.Tbl.length t.deleted);
       ("bloom_incremental_rebuilds", t.bloom_incr_rebuilds);
     ]
 end
@@ -237,6 +242,6 @@ let create ?(page_size = 4096) ?(pool_capacity = 64) ?io_spin ?flush_spin ?flush
       relocations = 0;
       bloom_negatives = 0;
       bloom_fp = 0;
-      bloom_stale = 0;
+      deleted = Rid.Tbl.create 64;
       bloom_incr_rebuilds = 0;
     }

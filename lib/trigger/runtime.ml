@@ -1015,7 +1015,7 @@ let before_abort t txn = post_txn_event t txn Intern.Before_tabort
    orchestration, so detached actions can themselves fire triggers. *)
 let rec run_detached t ~dependency fire =
   let txn = Txn.begin_txn ~system:true t.mgr in
-  (match dependency with Some on -> Txn.add_dependency_id txn ~on | None -> ());
+  (match dependency with Some on -> Txn.add_dependency txn ~on | None -> ());
   match
     run_action t txn fire;
     before_commit t txn;
@@ -1032,7 +1032,7 @@ and after_commit t (txn : Txn.t) =
   (match l with
   | None -> ()
   | Some l ->
-      List.iter (run_detached t ~dependency:(Some txn.Txn.id)) (List.rev l.dep_list);
+      List.iter (run_detached t ~dependency:(Some txn)) (List.rev l.dep_list);
       List.iter (run_detached t ~dependency:None) (List.rev l.indep_list));
   drain_phoenix t
 

@@ -460,6 +460,43 @@ let bloom_accounting_survives_moves () =
   Alcotest.(check int) "one hashed key per live record" (store.Store.record_count ())
     (counter store "bloom_keys")
 
+(* A saturation rebuild while a delete is in flight must keep the
+   deleted rid hashed. A filter "absent" lets a regular read skip the S
+   lock, so a dropped key would show other transactions the uncommitted
+   delete instead of making them wait for the deleter's X lock. *)
+let bloom_rebuild_keeps_inflight_deletes () =
+  let mgr = Txn.create_mgr () in
+  let store = Disk_store.ops (Disk_store.create ~mgr ~name:"inflight" ()) in
+  let rows = Array.init 50 (fun i -> commit_insert mgr store (Printf.sprintf "row%d" i)) in
+  let deleter = Txn.begin_txn mgr in
+  Array.iter (store.Store.delete deleter) rows;
+  (* 3,000 more keys overrun the initial 1,024-key sizing 2x over *)
+  let inserter = Txn.begin_txn mgr in
+  for i = 1 to 3_000 do
+    ignore (store.Store.insert inserter (b (Printf.sprintf "new%d" i)))
+  done;
+  Txn.commit inserter;
+  let reader = Txn.begin_txn mgr in
+  let blocked = ref 0 and absent = ref 0 in
+  Array.iter
+    (fun rid ->
+      match store.Store.read reader rid with
+      | exception Store.Would_block _ -> incr blocked
+      | None -> incr absent
+      | Some _ -> ())
+    rows;
+  Txn.abort reader;
+  Alcotest.(check int) "no read answers the uncommitted delete" 0 !absent;
+  Alcotest.(check int) "every read waits for the deleter" 50 !blocked;
+  Txn.abort deleter;
+  let reader = Txn.begin_txn mgr in
+  Array.iter
+    (fun rid ->
+      Alcotest.(check bool) "aborted delete restored the row" true
+        (store.Store.read reader rid <> None))
+    rows;
+  Txn.commit reader
+
 let post_event_fast_drops_absent () =
   let env = Session.create ~store:`Disk ~ckpt_full_every:1 () in
   let fired = ref 0 in
@@ -524,4 +561,6 @@ let suite =
       `Quick bloom_incremental_refresh;
     Alcotest.test_case "post_event_fast drops postings to absent objects" `Quick
       post_event_fast_drops_absent;
+    Alcotest.test_case "bloom: a saturation rebuild keeps in-flight deletes hashed" `Quick
+      bloom_rebuild_keeps_inflight_deletes;
   ]
